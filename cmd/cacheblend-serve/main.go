@@ -57,12 +57,12 @@ func main() {
 		chunkTok  = flag.Int("chunk-tokens", 512, "tokens per chunk")
 		replicas  = flag.Int("replicas", 1, "model replicas pulling from the shared queue")
 		batch     = flag.Int("batch", 1, "continuous-batching cap per replica step")
-		sched     = flag.String("sched", "", "scheduling policy (fifo, chunked-prefill, decode-priority, slo); empty = legacy FIFO without scheduling telemetry")
+		sched     = flag.String("sched", serve.SchedFIFO, "scheduling policy (fifo, chunked-prefill, decode-priority, slo)")
 		budget    = flag.Int("prefill-budget", 0, "chunked-prefill per-step prefill token budget (0 = default 256; requires -sched chunked-prefill or slo)")
-		sloTTFT   = flag.Float64("slo-ttft", 0, "TTFT SLO target in seconds (requires -sched; the slo policy schedules against it, any policy reports attainment)")
-		sloTBT    = flag.Float64("slo-tbt", 0, "mean-TBT SLO target in seconds (requires -sched)")
-		prefetch  = flag.String("prefetch", "", "tier prefetch policy (off, on-enqueue, predictive); empty = legacy synchronous loading without prefetch telemetry")
-		router    = flag.String("router", "", "replica-routing policy (shared, hash, affinity); empty = legacy shared store without router telemetry; hash/affinity give each replica its own tier stack")
+		sloTTFT   = flag.Float64("slo-ttft", 0, "TTFT SLO target in seconds (the slo policy schedules against it, any policy reports attainment)")
+		sloTBT    = flag.Float64("slo-tbt", 0, "mean-TBT SLO target in seconds")
+		prefetch  = flag.String("prefetch", serve.PrefetchOff, "tier prefetch policy (off, on-enqueue, predictive)")
+		router    = flag.String("router", serve.RouterShared, "replica-routing policy (shared, hash, affinity); hash/affinity give each replica its own tier stack")
 		prefBW    = flag.Float64("prefetch-bw", 0, "loader bandwidth budget as a fraction of the source tier's read bandwidth in (0,1] (0 = full bandwidth; requires an active -prefetch policy)")
 		shards    = flag.Int("shards", 0, "KV store shards (0 = default)")
 		killSpec  = flag.String("kill", "", "membership kills as time:replica pairs, e.g. 15:1,40:2 (times in simulated seconds)")
@@ -191,10 +191,6 @@ func main() {
 	if len(cfg.Tiers) > 0 {
 		placement = *tiersSpec
 	}
-	schedName := *sched
-	if schedName == "" {
-		schedName = "fifo" // the legacy default (scheduling telemetry off)
-	}
 
 	// Trace replay: the recorded stream fixes arrivals, tenants and chunk
 	// ids, so rates/workload flags don't apply and the run reproduces the
@@ -205,7 +201,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("model=%s scheme=%s placement=%s workload=%s requests=%d replicas=%d batch-cap=%d sched=%s\n",
-			spec.Name, cfg.Scheme, placement, tr.Name(), len(tr.Reqs), *replicas, *batch, schedName)
+			spec.Name, cfg.Scheme, placement, tr.Name(), len(tr.Reqs), *replicas, *batch, *sched)
 		res, err := serve.RunWorkload(cfg, tr, len(tr.Reqs), len(tr.Reqs)/3, *seed)
 		if err != nil {
 			fatal(err)
@@ -225,7 +221,7 @@ func main() {
 			Decode:  dec,
 		}
 		fmt.Printf("model=%s scheme=%s placement=%s workload=%s tenants=%d decode=%g pool=%d chunks=%d×%d tokens replicas=%d batch-cap=%d sched=%s\n",
-			spec.Name, cfg.Scheme, placement, w.Name(), *tenants, *decodeMean, *pool, *chunks, *chunkTok, *replicas, *batch, schedName)
+			spec.Name, cfg.Scheme, placement, w.Name(), *tenants, *decodeMean, *pool, *chunks, *chunkTok, *replicas, *batch, *sched)
 		res, err := serve.RunWorkload(cfg, w, *n, *n/3, *seed)
 		if err != nil {
 			fatal(err)
@@ -252,7 +248,7 @@ func main() {
 	}
 
 	fmt.Printf("model=%s scheme=%s placement=%s workload=%s tenants=%d decode=%g pool=%d chunks=%d×%d tokens replicas=%d batch-cap=%d sched=%s\n",
-		spec.Name, cfg.Scheme, placement, *workloadName, *tenants, *decodeMean, *pool, *chunks, *chunkTok, *replicas, *batch, schedName)
+		spec.Name, cfg.Scheme, placement, *workloadName, *tenants, *decodeMean, *pool, *chunks, *chunkTok, *replicas, *batch, *sched)
 	for _, rate := range rates {
 		w, err := buildWorkload(*workloadName, rate, *burst, *amplitude, *tenants, dec, cfg)
 		if err != nil {
@@ -355,7 +351,7 @@ func printResult(res serve.Result, verbose bool) {
 		fmt.Printf("  failover kills=%d rerouted=%d rewarm-stall=%.2fs recovery=%.2fs\n",
 			res.Failovers, res.ReroutedRequests, res.ReWarmStall, res.RecoveryTime)
 	}
-	if res.HBMHitRate > 0 || res.TierStallTime > 0 {
+	if len(res.Tiers) > 1 {
 		line := fmt.Sprintf("  prefetch tier-stall=%.2fs hbm-hit=%.0f%%",
 			res.TierStallTime, res.HBMHitRate*100)
 		if res.PrefetchIssued > 0 {

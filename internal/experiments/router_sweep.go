@@ -10,7 +10,7 @@ import (
 	"repro/internal/workload"
 )
 
-// RouterSweep compares the cluster-routing policies — the legacy shared
+// RouterSweep compares the cluster-routing policies — the default shared
 // single-store topology, consistent chunk→replica hashing, and
 // overlap-scored cache affinity — on multi-tenant bursty Zipf traffic
 // over per-replica HBM/DRAM/slow-SSD hierarchies. Each of four tenants

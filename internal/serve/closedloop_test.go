@@ -104,9 +104,8 @@ func TestClosedLoopSelfThrottling(t *testing.T) {
 	}
 }
 
-// TestSLOTelemetryGating: SLO fields appear only when targets are set
-// alongside an explicit policy, and stay exactly zero otherwise — the
-// same gating that keeps the legacy goldens byte-identical.
+// TestSLOTelemetryGating: SLO fields appear only when targets are set,
+// and stay exactly zero otherwise.
 func TestSLOTelemetryGating(t *testing.T) {
 	w := burstyDecode(0.6)
 	plain, err := RunWorkload(schedConfig(SchedFIFO), w, 300, 100, 7)

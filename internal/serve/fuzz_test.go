@@ -75,7 +75,7 @@ func FuzzPolicyStep(f *testing.F) {
 		// Every policy's quota stays inside the headroom, and
 		// decode-priority admits once aged past its limit.
 		headroom := g.Intn(9)
-		for _, sched := range []string{"", SchedFIFO, SchedChunkedPrefill, SchedDecodePriority, SchedSLO} {
+		for _, sched := range []string{SchedFIFO, SchedChunkedPrefill, SchedDecodePriority, SchedSLO} {
 			cfg := Config{Sched: sched, StarveLimit: 0, PrefillBudget: 0}
 			p := cfg.policy()
 			q := p.AdmitQuota(prefillers, decoders, headroom, int(deferred))

@@ -32,19 +32,18 @@ type goldenCase struct {
 	// subsystem and double as its seed-compatibility check), "bursty" and
 	// "multi-tenant" go through RunWorkload.
 	Workload string
-	// Sched selects the scheduling policy ("" = the legacy default; the
+	// Sched selects the scheduling policy ("" = the fifo default; the
 	// policy cases lock the chunked-prefill and decode-priority
 	// schedules and their StallTime/PrefillDelay telemetry down the way
-	// the legacy cases lock FIFO).
+	// the default cases lock fifo).
 	Sched string
-	// Prefetch selects the tier-prefetch policy ("" = legacy synchronous
-	// loading; "off" locks the same schedule with the prefetch telemetry
-	// on, the active policies lock the loader processes' transfer
-	// schedules).
+	// Prefetch selects the tier-prefetch policy ("" = the synchronous
+	// off default; the active policies lock the loader processes'
+	// transfer schedules).
 	Prefetch string
-	// Router selects the replica-routing policy ("" = legacy shared
-	// store; the routed cases lock the ring ownership and affinity-score
-	// schedules plus the skew/duplication telemetry).
+	// Router selects the replica-routing policy ("" = the shared-store
+	// default; the routed cases lock the ring ownership and
+	// affinity-score schedules plus the skew/duplication telemetry).
 	Router string
 	// Failover adds a membership schedule — kill one replica at ~40% of
 	// the trace, join a cold one at ~70% — locking the drain/re-route
@@ -90,8 +89,8 @@ func goldenCases() []goldenCase {
 		}
 	}
 	// Scheduling-policy cases on the decode workload (mixed batches are
-	// where the policies differ): explicit fifo locks the scheduling
-	// telemetry over the legacy schedule, chunked-prefill locks the
+	// where the policies differ): explicit fifo pins the name's alias of
+	// the default schedule, chunked-prefill locks the
 	// budgeted token-granularity stepping, decode-priority the deferred
 	// admission with its aging bound.
 	for _, sched := range []string{SchedFIFO, SchedChunkedPrefill, SchedDecodePriority} {
@@ -121,9 +120,9 @@ func goldenCases() []goldenCase {
 	}
 	// Router cases on the multi-tenant mix over tiered placement — the
 	// workload whose per-tenant corpora the routed policies partition.
-	// shared locks the telemetry over the legacy schedule; hash locks the
-	// ring ownership, affinity the score/touch schedule, both with their
-	// skew and duplication accounting.
+	// shared pins the name's alias of the default topology; hash locks
+	// the ring ownership, affinity the score/touch schedule, both with
+	// their skew and duplication accounting.
 	for _, router := range []string{RouterShared, RouterHash, RouterAffinity} {
 		for _, seed := range []int64{1, 7} {
 			name := "cacheblend/r4/tiered/multi-tenant/router-" + router + "/seed" + strconv.FormatInt(seed, 10)

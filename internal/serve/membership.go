@@ -178,9 +178,7 @@ func (c *cluster) join() {
 	r := len(c.busy)
 	c.busy = append(c.busy, 0)
 	c.dead = append(c.dead, false)
-	if c.replicaReqs != nil {
-		c.replicaReqs = append(c.replicaReqs, 0)
-	}
+	c.replicaReqs = append(c.replicaReqs, 0)
 	if c.isRouted {
 		c.queues = append(c.queues, sim.NewQueue[request](c.clock))
 		c.stores = append(c.stores, kvstore.MustTiered(c.buildTiers(), kvstore.LRU))

@@ -42,7 +42,8 @@ func sloConfig() Config {
 
 // TestSchedValidate pins the policy-axis validation: unknown names and
 // knobs paired with policies that ignore them must fail loudly, every
-// valid policy name must pass.
+// valid policy name must pass, and SLO targets on the default policy run
+// fifo with the SLO telemetry on.
 func TestSchedValidate(t *testing.T) {
 	for _, sched := range []string{"", SchedFIFO, SchedChunkedPrefill, SchedDecodePriority} {
 		cfg := schedConfig(sched)
@@ -62,11 +63,9 @@ func TestSchedValidate(t *testing.T) {
 		{"negative budget", func(c *Config) { c.PrefillBudget = -1 }, "prefill budget"},
 		{"negative starve", func(c *Config) { c.StarveLimit = -1 }, "starve limit"},
 		{"budget without chunked", func(c *Config) { c.Sched = SchedFIFO; c.PrefillBudget = 64 }, "prefill budget"},
-		{"budget on legacy default", func(c *Config) { c.PrefillBudget = 64 }, "prefill budget"},
+		{"budget on default fifo", func(c *Config) { c.PrefillBudget = 64 }, "prefill budget"},
 		{"starve without decode-priority", func(c *Config) { c.Sched = SchedChunkedPrefill; c.StarveLimit = 4 }, "starve limit"},
 		{"slo without target", func(c *Config) { c.Sched = SchedSLO }, "TTFT target"},
-		{"targets without policy", func(c *Config) { c.SLOTTFT = 2 }, "explicit scheduling policy"},
-		{"tbt target without policy", func(c *Config) { c.SLOTBT = 0.05 }, "explicit scheduling policy"},
 		{"negative ttft target", func(c *Config) { c.Sched = SchedFIFO; c.SLOTTFT = -1 }, "TTFT SLO target"},
 		{"nan tbt target", func(c *Config) { c.Sched = SchedFIFO; c.SLOTBT = math.NaN() }, "TBT SLO target"},
 	}
@@ -78,21 +77,47 @@ func TestSchedValidate(t *testing.T) {
 			t.Fatalf("%s: want error mentioning %q, got %v", tc.name, tc.want, err)
 		}
 	}
+	targets := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"ttft target on default policy", func(c *Config) { c.SLOTTFT = 2 }},
+		{"tbt target on default policy", func(c *Config) { c.SLOTBT = 0.05 }},
+	}
+	for _, tc := range targets {
+		cfg := schedConfig("")
+		tc.mutate(&cfg)
+		res, err := RunWorkload(cfg, burstyDecode(0.6), 200, 50, 7)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		met := int64(math.Round(res.SLOAttainment * float64(res.Requests)))
+		if res.Requests == 0 || met+res.SLOViolations != int64(res.Requests) {
+			t.Fatalf("%s: SLO telemetry does not cover the %d requests: attainment %v, violations %d",
+				tc.name, res.Requests, res.SLOAttainment, res.SLOViolations)
+		}
+		fifo := cfg
+		fifo.Sched = SchedFIFO
+		want, err := RunWorkload(fifo, burstyDecode(0.6), 200, 50, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gj, _ := json.Marshal(res)
+		wj, _ := json.Marshal(want)
+		if string(gj) != string(wj) {
+			t.Fatalf("%s: default policy differs from explicit fifo:\n got %s\nwant %s", tc.name, gj, wj)
+		}
+	}
 }
 
-// TestFIFOPolicyMatchesLegacy: naming "fifo" must reproduce the legacy
-// default schedule exactly — same TTFT, TBT, throughput, step mix, every
-// shared field — adding only the scheduling telemetry the default leaves
-// zero.
+// TestFIFOPolicyMatchesLegacy: the empty Sched is the fifo default, so
+// naming "fifo" reproduces the default schedule exactly — same TTFT, TBT,
+// throughput, step mix and scheduling telemetry.
 func TestFIFOPolicyMatchesLegacy(t *testing.T) {
 	w := burstyDecode(0.6)
-	legacy, err := RunWorkload(schedConfig(""), w, 300, 100, 7)
+	def, err := RunWorkload(schedConfig(""), w, 300, 100, 7)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if legacy.StallTime != 0 || legacy.MeanPrefillDelay != 0 || legacy.P95PrefillDelay != 0 {
-		t.Fatalf("legacy default populated scheduling telemetry: stall=%v delay=%v/%v",
-			legacy.StallTime, legacy.MeanPrefillDelay, legacy.P95PrefillDelay)
 	}
 	got, err := RunWorkload(schedConfig(SchedFIFO), w, 300, 100, 7)
 	if err != nil {
@@ -102,13 +127,10 @@ func TestFIFOPolicyMatchesLegacy(t *testing.T) {
 		t.Fatalf("fifo: scheduling telemetry missing under load: stall=%v delay=%v",
 			got.StallTime, got.MeanPrefillDelay)
 	}
-	// Strip the telemetry and the rest must be byte-identical.
-	stripped := got
-	stripped.StallTime, stripped.MeanPrefillDelay, stripped.P95PrefillDelay = 0, 0, 0
-	gj, _ := json.Marshal(stripped)
-	lj, _ := json.Marshal(legacy)
-	if string(gj) != string(lj) {
-		t.Fatalf("fifo drifted from the legacy schedule:\n got %s\nwant %s", gj, lj)
+	gj, _ := json.Marshal(got)
+	dj, _ := json.Marshal(def)
+	if string(gj) != string(dj) {
+		t.Fatalf("fifo drifted from the default schedule:\n got %s\nwant %s", gj, dj)
 	}
 }
 
@@ -132,7 +154,7 @@ func TestPolicyTokenConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 			if res.Requests != base.Requests || res.OutputTokens != base.OutputTokens {
-				t.Fatalf("%s on %s: completed %d requests / %d tokens, legacy %d / %d — scheduling must conserve work",
+				t.Fatalf("%s on %s: completed %d requests / %d tokens, default %d / %d — scheduling must conserve work",
 					sched, w.Name(), res.Requests, res.OutputTokens, base.Requests, base.OutputTokens)
 			}
 		}
@@ -297,7 +319,7 @@ func TestAdmitQuotaContracts(t *testing.T) {
 			t.Fatalf("%s configured budget %d, want 64", sched, b)
 		}
 	}
-	for _, sched := range []string{"", SchedFIFO, SchedDecodePriority} {
+	for _, sched := range []string{SchedFIFO, SchedDecodePriority} {
 		c := schedConfig(sched)
 		if b := c.policy().PrefillBudget(); b != 0 {
 			t.Fatalf("%s: whole-chunk policy reports budget %d", sched, b)

@@ -20,11 +20,10 @@ import (
 
 // Prefetch policy names accepted by Config.PrefetchPolicy.
 const (
-	// PrefetchOff runs the legacy synchronous loading but populates the
-	// prefetch telemetry in Result (tier-read stall, effective HBM hit
-	// rate) — the baseline the sweep compares the async policies against.
-	// The empty default is the same schedule with the telemetry off,
-	// keeping legacy Results byte-identical.
+	// PrefetchOff is the default: synchronous loading, no loader
+	// processes — the baseline the sweep compares the async policies
+	// against through the same telemetry (tier-read stall, effective HBM
+	// hit rate).
 	PrefetchOff = "off"
 	// PrefetchOnEnqueue starts a loader per replica and prefetches each
 	// arriving request's own chunks the moment the request enters the
@@ -65,10 +64,6 @@ type prefetchJob struct {
 	req int
 	ids []int
 }
-
-// prefetchOn reports whether the prefetch telemetry is active (any
-// explicit policy, the synchronous "off" baseline included).
-func (c Config) prefetchOn() bool { return c.PrefetchPolicy != "" }
 
 // prefetchActive reports whether loader processes actually run.
 func (c Config) prefetchActive() bool {
@@ -135,15 +130,15 @@ func (c *cluster) jobKeys(job prefetchJob, now float64, qi int) []chunk.ID {
 }
 
 // lookup resolves one chunk lookup against node si's store at virtual
-// time now: the legacy synchronous Get when prefetch is off, the
-// transfer-aware GetAt — which may join an in-flight promotion and report
-// a residual wait — plus a popularity touch when a prefetch policy is set.
+// time now through the transfer-aware GetAt, which may join an in-flight
+// promotion and report a residual wait. Under an active prefetch policy
+// the lookup also touches the node's popularity estimator the loaders
+// rank with; the synchronous baseline leaves it alone, since affinity
+// routing reads the same estimator.
 func (c *cluster) lookup(si int, key chunk.ID, now float64) (tier int, wait float64, ok bool) {
-	if !c.prefetchOn {
-		_, tier, ok := c.stores[si].Get(key)
-		return tier, 0, ok
+	if c.pfQueues != nil {
+		c.pops[si].Touch(key, now)
 	}
-	c.pops[si].Touch(key, now)
 	_, tier, wait, ok = c.stores[si].GetAt(key, now)
 	return tier, wait, ok
 }
@@ -151,7 +146,7 @@ func (c *cluster) lookup(si int, key chunk.ID, now float64) (tier int, wait floa
 // validatePrefetch is the Config.Validate slice for the prefetch fields.
 func (c Config) validatePrefetch() error {
 	switch c.PrefetchPolicy {
-	case "", PrefetchOff, PrefetchOnEnqueue, PrefetchPredictive:
+	case PrefetchOff, PrefetchOnEnqueue, PrefetchPredictive:
 	default:
 		return fmt.Errorf("prefetch policy %q: want %s, %s or %s",
 			c.PrefetchPolicy, PrefetchOff, PrefetchOnEnqueue, PrefetchPredictive)

@@ -1,5 +1,5 @@
 // The cache-affinity replica router: the cluster-scale layer in front of
-// admission. The legacy runtime models a single node — every replica
+// admission. The default topology models a single node — every replica
 // pulls from one shared queue and hits one shared KV store. Production
 // RAG serving partitions the cache instead (RAGCache's "knowledge caching
 // as a service"): each replica is a node with its own tier hierarchy, and
@@ -10,8 +10,7 @@
 //
 // Three policies are selectable via Config.Router:
 //
-//   - shared: the legacy single-store topology, byte-identical schedule;
-//     naming it explicitly populates the router telemetry in Result.
+//   - shared: the default single-store topology.
 //   - hash: consistent chunk→replica hashing. Each chunk id owns a point
 //     set on a hash ring; a request routes to the replica owning the
 //     plurality of its chunks. Stateless and balanced, but a request's
@@ -39,10 +38,8 @@ import (
 
 // Router policy names accepted by Config.Router.
 const (
-	// RouterShared keeps the legacy topology: one KV store and one
-	// admission queue shared by every replica (a single node). The empty
-	// default is the same schedule with the router telemetry off, keeping
-	// legacy Results byte-identical.
+	// RouterShared is the default topology: one KV store and one
+	// admission queue shared by every replica (a single node).
 	RouterShared = "shared"
 	// RouterHash partitions by consistent chunk→replica hashing: each
 	// replica owns ringVnodes points on a hash ring, a chunk belongs to
@@ -80,10 +77,6 @@ const (
 	affinityLoadPenalty = 0.5
 )
 
-// routerOn reports whether the router telemetry is active (any explicit
-// policy, the single-node "shared" baseline included).
-func (c Config) routerOn() bool { return c.Router != "" }
-
 // routed reports whether requests are actually routed to per-replica
 // stores and queues (hash or affinity).
 func (c Config) routed() bool {
@@ -93,7 +86,7 @@ func (c Config) routed() bool {
 // validateRouter is the Config.Validate slice for the router fields.
 func (c Config) validateRouter() error {
 	switch c.Router {
-	case "", RouterShared, RouterHash, RouterAffinity:
+	case RouterShared, RouterHash, RouterAffinity:
 	default:
 		return fmt.Errorf("router policy %q: want %s, %s or %s",
 			c.Router, RouterShared, RouterHash, RouterAffinity)
@@ -192,9 +185,8 @@ func (h *hashRing) owner(id chunk.ID) int {
 }
 
 // route picks the replica (and with it the store, queue and loader) an
-// arriving request is dispatched to. Unrouted topologies — the legacy
-// default and the explicit shared baseline — use index 0, the single
-// shared state.
+// arriving request is dispatched to. The shared topology uses index 0,
+// the single shared state.
 func (c *cluster) route(req request, now float64) int {
 	if len(c.queues) == 1 {
 		return 0

@@ -39,7 +39,7 @@ type request struct {
 
 // member is a request resident in a replica's running batch: a two-phase
 // state machine (prefill steps, then decode steps once decoding is set).
-// Under the legacy whole-chunk policies prefill advances one equal step
+// Under the whole-chunk policies prefill advances one equal step
 // per chunk (unit/remaining); under a budgeted (chunked-prefill) policy
 // it advances at token granularity instead (prefTotal/prefDone/perTok),
 // the per-step slice set by allocPrefill from the shared budget.
@@ -77,7 +77,7 @@ type tenantAcc struct {
 // stores, admission queues, popularity views, loader queues — is sliced
 // per replica: under the routed policies (hash, affinity) every replica
 // owns index r of each slice, its own node; under the shared topology the
-// slices have one element every replica shares, the legacy single node.
+// slices have one element every replica shares, a single node.
 type cluster struct {
 	cfg        Config
 	reqs       []request
@@ -92,9 +92,6 @@ type cluster struct {
 	hasDecode  bool    // some request carries a generation budget
 	policy     Policy
 	budget     int  // the policy's per-step prefill token budget (0 = whole-chunk)
-	schedOn    bool // scheduling telemetry requested (explicit Config.Sched)
-	prefetchOn bool // prefetch telemetry requested (explicit Config.PrefetchPolicy)
-	routerOn   bool // router telemetry requested (explicit Config.Router)
 	isRouted   bool // per-replica stores with real routing (hash/affinity)
 	ring       *hashRing
 	pops       []*kvstore.Popularity
@@ -117,10 +114,10 @@ type cluster struct {
 	closedN    int              // the session's total request budget
 	initIssues []workload.Issue // the initial wave, arrival-ordered
 
-	// SLO state. sloSched orders admission by deadline (the slo policy);
-	// sloOn populates the attainment telemetry — either alone is valid
-	// (slo scheduling is always target-driven, but fifo can be measured
-	// against targets too).
+	// SLO state. sloOn evaluates every completion against the targets
+	// and populates the attainment telemetry; sloSched additionally
+	// orders admission by deadline (the slo policy, which requires a
+	// TTFT target, so it implies sloOn).
 	sloSched          bool
 	sloOn             bool
 	sloTTFT, sloTBT   float64
@@ -147,7 +144,7 @@ type cluster struct {
 	depthSum      float64
 	depthN        int
 	depthSums     []float64 // per-replica depth sums at measured arrivals (routed)
-	replicaReqs   []int64   // requests each replica admitted (router telemetry)
+	replicaReqs   []int64   // requests each replica admitted
 	// post-warmup step counts by batch composition
 	stepsPrefill, stepsDecode, stepsMixed int64
 	multiTenant                           bool
@@ -303,6 +300,7 @@ func (c *cluster) buildTiers() []kvstore.Tier {
 
 // run executes the simulation and aggregates the Result.
 func (c *cluster) run() Result {
+	c.cfg = c.cfg.withDefaults()
 	cfg := c.cfg
 
 	c.chunkBytes = cfg.Spec.KVBytes(cfg.ChunkTokens)
@@ -310,7 +308,6 @@ func (c *cluster) run() Result {
 	c.decodeUnit = cfg.Spec.DecodeSecPerToken
 	c.policy = cfg.policy()
 	c.budget = c.policy.PrefillBudget()
-	c.schedOn = cfg.schedMetrics()
 	c.sloSched = cfg.Sched == SchedSLO
 	c.sloOn = cfg.sloOn()
 	c.sloTTFT, c.sloTBT = cfg.SLOTTFT, cfg.SLOTBT
@@ -320,8 +317,6 @@ func (c *cluster) run() Result {
 		// the popping replica's current virtual time.
 		c.sloCmp = func(a, b request) bool { return c.sloLess(a, b, c.clock.Now()) }
 	}
-	c.prefetchOn = cfg.prefetchOn()
-	c.routerOn = cfg.routerOn()
 	c.isRouted = cfg.routed()
 	nodes := 1 // store-shaped state slots: one shared node, or one per replica
 	if c.isRouted {
@@ -340,7 +335,7 @@ func (c *cluster) run() Result {
 			s.Close()
 		}
 	}()
-	if c.prefetchOn || cfg.Router == RouterAffinity {
+	if cfg.prefetchActive() || cfg.Router == RouterAffinity {
 		// One popularity estimator per node feeds predictive prefetch and
 		// affinity routing alike — the shared demand signal.
 		c.pops = make([]*kvstore.Popularity, nodes)
@@ -371,9 +366,7 @@ func (c *cluster) run() Result {
 	if c.eventsOn {
 		c.rerouted = make([]bool, len(c.reqs))
 	}
-	if c.routerOn {
-		c.replicaReqs = make([]int64, cfg.replicas())
-	}
+	c.replicaReqs = make([]int64, cfg.replicas())
 	if c.isRouted {
 		c.depthSums = make([]float64, nodes)
 		c.inflight = make([]int, nodes)
@@ -406,9 +399,7 @@ func (c *cluster) run() Result {
 		c.tbts = make([]float64, 0, tbtN)
 		c.e2es = make([]float64, 0, measuredN)
 	}
-	if c.schedOn {
-		c.prefillDelays = make([]float64, 0, measuredN)
-	}
+	c.prefillDelays = make([]float64, 0, measuredN)
 	if c.eventsOn {
 		c.ttftAt = make([]float64, 0, measuredN)
 	}
@@ -416,8 +407,7 @@ func (c *cluster) run() Result {
 	// The control process interleaves the two input streams in time
 	// order: request arrivals and membership events. An event tying an
 	// arrival's timestamp applies first, so the arrival routes against
-	// the post-event replica set. With no events this is exactly the
-	// legacy arrivals process. A closed-loop run only walks the initial
+	// the post-event replica set. A closed-loop run only walks the initial
 	// wave here — every later arrival is issued by the completion hook in
 	// retire, on a process of its own (and membership events are rejected
 	// up front in runClosedLoop).
@@ -479,8 +469,7 @@ func (c *cluster) run() Result {
 	if c.completed > 0 && window > 0 {
 		res.Throughput = float64(c.completed) / window
 	}
-	// Store statistics aggregate across the nodes (a single shared store
-	// reduces to the legacy numbers bit for bit); per-tier rows sum the
+	// Store statistics aggregate across the nodes; per-tier rows sum the
 	// same tier index of every node's stack.
 	var st kvstore.Stats
 	for _, s := range c.stores {
@@ -527,11 +516,9 @@ func (c *cluster) run() Result {
 			res.MixedStepShare = float64(c.stepsMixed) / float64(steps)
 		}
 	}
-	if c.schedOn {
-		res.StallTime = c.stallTime
-		res.MeanPrefillDelay = metrics.Mean(c.prefillDelays)
-		res.P95PrefillDelay = metrics.Percentile(c.prefillDelays, 95)
-	}
+	res.StallTime = c.stallTime
+	res.MeanPrefillDelay = metrics.Mean(c.prefillDelays)
+	res.P95PrefillDelay = metrics.Percentile(c.prefillDelays, 95)
 	if c.sloOn {
 		if c.completed > 0 {
 			res.SLOAttainment = float64(c.sloOK) / float64(c.completed)
@@ -547,38 +534,32 @@ func (c *cluster) run() Result {
 			res.Goodput = float64(c.sloOK) / window
 		}
 	}
-	if c.prefetchOn {
-		var joins int64
-		res.TierStallTime = c.tierStall
-		for _, s := range c.stores {
-			pf := s.PrefetchStats()
-			res.PrefetchIssued += pf.Issued
-			res.PrefetchHits += pf.Hits
-			res.PrefetchWastedBytes += pf.BytesWasted
-			joins += pf.InflightJoins
-		}
-		if len(res.Tiers) > 0 {
-			res.HBMHitRate = metrics.Ratio(res.Tiers[0].Hits+joins, res.Lookups)
-		}
+	var joins int64
+	res.TierStallTime = c.tierStall
+	for _, s := range c.stores {
+		pf := s.PrefetchStats()
+		res.PrefetchIssued += pf.Issued
+		res.PrefetchHits += pf.Hits
+		res.PrefetchWastedBytes += pf.BytesWasted
+		joins += pf.InflightJoins
 	}
-	if c.routerOn {
-		res.Router = cfg.Router
-		res.ReplicaHitRates = make([]float64, len(c.stores))
-		for i, s := range c.stores {
-			res.ReplicaHitRates[i] = s.Stats().HitRate()
-		}
-		res.ReplicaRequests = c.replicaReqs
-		res.LoadSkew = metrics.CoefVar(c.busy)
-		if c.isRouted {
-			if c.depthN > 0 {
-				means := make([]float64, len(c.depthSums))
-				for i, s := range c.depthSums {
-					means[i] = s / float64(c.depthN)
-				}
-				res.QueueSkew = metrics.CoefVar(means)
+	res.HBMHitRate = metrics.Ratio(res.Tiers[0].Hits+joins, res.Lookups)
+	res.Router = cfg.Router
+	res.ReplicaHitRates = make([]float64, len(c.stores))
+	for i, s := range c.stores {
+		res.ReplicaHitRates[i] = s.Stats().HitRate()
+	}
+	res.ReplicaRequests = c.replicaReqs
+	res.LoadSkew = metrics.CoefVar(c.busy)
+	if c.isRouted {
+		if c.depthN > 0 {
+			means := make([]float64, len(c.depthSums))
+			for i, s := range c.depthSums {
+				means[i] = s / float64(c.depthN)
 			}
-			res.DuplicationBytes = c.duplicationBytes()
+			res.QueueSkew = metrics.CoefVar(means)
 		}
+		res.DuplicationBytes = c.duplicationBytes()
 	}
 	if c.eventsOn {
 		res.Failovers = c.failovers
@@ -614,8 +595,7 @@ func (c *cluster) duplicationBytes() int64 {
 }
 
 // tenantUsage renders the per-tenant accumulators, ordered by tenant id
-// (the dense slice index). Single-tenant streams report nil, keeping
-// legacy Results unchanged.
+// (the dense slice index). Single-tenant streams report nil.
 func (c *cluster) tenantUsage() []TenantUsage {
 	if !c.multiTenant {
 		return nil
@@ -731,7 +711,7 @@ func (c *cluster) predDepth() int {
 }
 
 // replica is one worker process: it keeps a running batch, admitting from
-// its node's admission queue (the shared queue in the legacy topology,
+// its node's admission queue (the shared queue in the shared topology,
 // its own under the routed policies) under the scheduling policy and
 // stepping every member — prefilling or decoding — in lockstep, retiring
 // completions at step boundaries.
@@ -844,7 +824,7 @@ func (c *cluster) replica(p *sim.Proc, r int) {
 				// Last prefill step: the first token is out.
 				c.firstToken(m, now)
 				if m.req.decode == 0 {
-					c.retire(m, now) // legacy prefill-only request
+					c.retire(m, now) // prefill-only request
 					continue
 				}
 				m.decoding = true
@@ -867,10 +847,10 @@ func (c *cluster) replica(p *sim.Proc, r int) {
 
 // planStep prices the batch's next step under the active policy and
 // reports its decoder-seconds of stall. Whole-chunk policies price with
-// stepTime (the legacy model, bit for bit); a budgeted policy allocates
-// the step's prefill token slices first — in SLO order at the boundary
-// time under the slo policy, admission order otherwise — and prices the
-// bounded slice with the engine's chunked mixed-step model.
+// stepTime; a budgeted policy allocates the step's prefill token slices
+// first — in SLO order at the boundary time under the slo policy,
+// admission order otherwise — and prices the bounded slice with the
+// engine's chunked mixed-step model.
 func (c *cluster) planStep(batch []*member, now float64) (step, stall float64) {
 	if c.budget > 0 {
 		var prefillers, decoders int
@@ -906,10 +886,9 @@ func (c *cluster) planStep(batch []*member, now float64) (step, stall float64) {
 
 // stall is the decoder-seconds a prefill-paced step costs beyond the
 // decode-only step its decoders would have run at the same width — the
-// head-of-line blocking the scheduling telemetry quantifies. Zero when
-// the telemetry is off, so the legacy path computes nothing new.
+// head-of-line blocking the scheduling telemetry quantifies.
 func (c *cluster) stall(step float64, decoders, width int) float64 {
-	if decoders == 0 || !c.schedOn {
+	if decoders == 0 {
 		return 0
 	}
 	extra := step - engine.DecodeStepTime(c.decodeUnit, width, c.cfg.decodeOverhead())
@@ -930,9 +909,7 @@ func (c *cluster) stall(step float64, decoders, width int) float64 {
 func (c *cluster) admit(req request, now float64, r int) *member {
 	si := c.qi(r)
 	c.admitted[req.idx] = true
-	if c.replicaReqs != nil {
-		c.replicaReqs[r]++
-	}
+	c.replicaReqs[r]++
 	steps := len(req.ids) + 1 // one per chunk, one for the query
 	service, lookups, hits, stall := c.serviceTime(si, req.ids, now)
 	var m *member
@@ -969,14 +946,12 @@ func (c *cluster) admit(req request, now float64, r int) *member {
 	// warmup rule: measured iff the request arrived at or after the
 	// cutoff, like TTFT — a warmup arrival admitted after the cutoff
 	// contributes nothing, a cutoff-tying arrival contributes everywhere.
-	if c.schedOn && c.measured(req) {
+	if c.measured(req) {
 		c.prefillDelays = append(c.prefillDelays, now-req.arrival)
-	}
-	if c.prefetchOn && c.measured(req) {
 		c.tierStall += stall
-	}
-	if c.eventsOn && c.rerouted != nil && c.rerouted[req.idx] && c.measured(req) {
-		c.reWarmStall += stall
+		if c.eventsOn && c.rerouted[req.idx] {
+			c.reWarmStall += stall
+		}
 	}
 	return m
 }
@@ -1054,7 +1029,7 @@ func (c *cluster) observeStep(batch []*member, step, stall, now float64, r int) 
 // node's store for requests that will keep generating.
 func (c *cluster) firstToken(m *member, now float64) {
 	m.lastToken = now
-	if c.sloOn || c.sloSched {
+	if c.sloOn {
 		// Realised TTFT rides on the member for retirement-time SLO
 		// evaluation — kept for every request, warmup included, because
 		// the scheduler's tenant-risk signal wants the whole run.
@@ -1088,7 +1063,7 @@ func (c *cluster) token(m *member, now float64) {
 	m.genBytes += c.tokenBytes
 	*m.genPayload = kvstore.Bytes(m.genBytes)
 	c.stores[m.si].Put(m.genKey, m.genPayload) //nolint:errcheck
-	if c.sloOn || c.sloSched {
+	if c.sloOn {
 		m.tbtSum += now - m.lastToken
 	}
 	if c.measured(m.req) {
@@ -1112,7 +1087,7 @@ func (c *cluster) retire(m *member, now float64) {
 	if c.inflight != nil {
 		c.inflight[m.si]--
 	}
-	if c.sloOn || c.sloSched {
+	if c.sloOn {
 		c.sloOutcome(m)
 	}
 	if c.closed != nil {
@@ -1153,9 +1128,9 @@ func (c *cluster) retire(m *member, now float64) {
 }
 
 // sloOutcome evaluates a completed request against the configured
-// targets: it always feeds the scheduler's per-tenant risk signal (every
+// targets: it feeds the slo scheduler's per-tenant risk signal (every
 // completion, warmup included), and accumulates the reported attainment
-// telemetry for measured completions when the telemetry is on. A request
+// telemetry for measured completions. A request
 // meets its SLO iff its TTFT is within SLOTTFT (when set) and its mean
 // TBT is within SLOTBT (when set; prefill-only requests satisfy TBT
 // trivially).
@@ -1167,7 +1142,7 @@ func (c *cluster) sloOutcome(m *member) {
 	if c.sloSched {
 		c.bumpRisk(m.req.tenant, met)
 	}
-	if !c.sloOn || !c.measured(m.req) {
+	if !c.measured(m.req) {
 		return
 	}
 	if ttftOK {

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/baselines"
+	"repro/internal/device"
+	"repro/internal/timing"
+	"repro/internal/workload"
 )
 
 // TestReplicasSustainHigherRate is the scaling acceptance check: under
@@ -181,5 +184,32 @@ func TestSingleReplicaUnbatchedMatchesFCFS(t *testing.T) {
 	wantMean := S * float64(50+1) / 2
 	if res.MeanTTFT < 0.9*wantMean || res.MeanTTFT > 1.1*wantMean {
 		t.Fatalf("FCFS backlog mean TTFT %.3f, want ≈%.3f", res.MeanTTFT, wantMean)
+	}
+}
+
+// TestZeroConfigAllocsPerRequest pins the serving hot path's allocation
+// budget: the zero-value policy Config (fifo/off/shared, every telemetry
+// field on) on the BenchmarkServeHotPath stream must stay within
+// maxAllocsPerRequest heap allocations per simulated request, amortised
+// over the run. The bound is the 2.777 measured (Go 1.24, linux/amd64)
+// when the telemetry became unconditional, plus 2% slack; one extra
+// allocation per admission would add 1 per request.
+func TestZeroConfigAllocsPerRequest(t *testing.T) {
+	const requests, maxAllocsPerRequest = 4000, 2.83
+	cfg := Config{
+		Spec: timing.Mistral7B, Scheme: baselines.CacheBlend, Ratio: 0.15,
+		Device: device.NVMeSSD, MaxBatch: 8, ChunkPool: 1500, ChunksPerRequest: 6,
+		ChunkTokens: 512, QueryTokens: 32, Skew: 0.8,
+	}
+	w := workload.Poisson{Rate: 2.0, Chunks: testWorkloadChunks(cfg), Decode: workload.Decode{Mean: 4}}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := RunWorkload(cfg, w, requests, requests/4, 42); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perReq := allocs / requests
+	t.Logf("%.0f allocs per run, %.4f per request", allocs, perReq)
+	if perReq > maxAllocsPerRequest {
+		t.Fatalf("%.4f allocs per simulated request, budget %.4f", perReq, maxAllocsPerRequest)
 	}
 }

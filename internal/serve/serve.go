@@ -97,14 +97,12 @@ type Config struct {
 	// below prefill's; 0 uses the default 0.08.
 	DecodeOverhead float64
 	// Sched selects the scheduling policy controlling batch admission
-	// and per-step prefill budgets: "" or SchedFIFO (legacy greedy
+	// and per-step prefill budgets: SchedFIFO (the default; greedy
 	// admission, whole-chunk prefill steps), SchedChunkedPrefill
 	// (per-step prefill token budget, see PrefillBudget),
 	// SchedDecodePriority (defer prefill admission while the batch
-	// decodes, see StarveLimit), or SchedSLO (reserved stub, FIFO
-	// behaviour). The empty default is bit-identical to the pre-policy
-	// runtime; any named policy — "fifo" included — additionally
-	// populates the scheduling telemetry in Result.
+	// decodes, see StarveLimit), or SchedSLO (deadline-aware admission
+	// against SLOTTFT/SLOTBT).
 	Sched string
 	// PrefillBudget caps the prefill tokens one step may spend across
 	// the batch's prefilling members under SchedChunkedPrefill,
@@ -124,22 +122,18 @@ type Config struct {
 	// SLOTTFT is the per-request TTFT target in seconds: a request meets
 	// its SLO only if its first token arrives within SLOTTFT of its
 	// arrival. Required (> 0) by SchedSLO, whose admission order is
-	// deadline-aware against this target; with any other explicit policy
-	// it only turns on the SLO attainment/goodput telemetry in Result, so
-	// sweeps can measure fifo or chunked-prefill against the same
-	// targets. Setting it without an explicit Config.Sched is a
-	// validation error (the legacy default stays byte-identical).
+	// deadline-aware against this target; with any other policy it only
+	// turns on the SLO attainment/goodput telemetry in Result, so sweeps
+	// can measure fifo or chunked-prefill against the same targets.
 	SLOTTFT float64
 	// SLOTBT is the per-request mean time-between-tokens target in
 	// seconds: a decode-enabled request meets its SLO only if its mean
 	// TBT is within SLOTBT (prefill-only requests satisfy it trivially).
-	// 0 leaves TBT out of the SLO; like SLOTTFT it requires an explicit
-	// scheduling policy.
+	// 0 leaves TBT out of the SLO.
 	SLOTBT float64
 	// PrefetchPolicy selects the asynchronous tier-prefetch behaviour:
-	// "" (legacy synchronous loading, no prefetch telemetry), PrefetchOff
-	// (same synchronous loading with the telemetry populated — the
-	// baseline async policies are compared against), PrefetchOnEnqueue
+	// PrefetchOff (the default; synchronous loading, the baseline the
+	// async policies are compared against), PrefetchOnEnqueue
 	// (per-replica loaders promote each arriving request's chunks while
 	// it queues) or PrefetchPredictive (on-enqueue plus popularity-driven
 	// promotion of the hottest cold chunks on a queue-depth signal). The
@@ -150,10 +144,10 @@ type Config struct {
 	// source tier's read bandwidth, in (0, 1]; 0 uses the full device.
 	// Setting it requires an active prefetch policy.
 	PrefetchBW float64
-	// Router selects the replica-routing topology: "" (legacy shared
-	// store, no router telemetry), RouterShared (the same single-node
-	// schedule with the router telemetry populated), RouterHash
-	// (per-replica tier stacks, consistent chunk→replica hashing) or
+	// Router selects the replica-routing topology: RouterShared (the
+	// default; one store and one admission queue shared by every
+	// replica, a single node), RouterHash (per-replica tier stacks,
+	// consistent chunk→replica hashing) or
 	// RouterAffinity (per-replica tier stacks, overlap-scored routing
 	// reusing the popularity estimator the predictive prefetcher ranks
 	// with). The routed policies give every replica the full configured
@@ -166,7 +160,7 @@ type Config struct {
 	// (a node fails, its queued work re-routes to survivors) and joins
 	// (a cold node is added under load). Events must be time-ordered;
 	// see MembershipEvent for the per-event semantics. Empty keeps the
-	// static replica set and every legacy Result byte-identical.
+	// static replica set.
 	Events []MembershipEvent
 	// ChunkPool is the number of distinct chunks in the corpus.
 	ChunkPool int
@@ -229,11 +223,26 @@ func (c Config) starveLimit() int {
 }
 
 // sloOn reports whether the run populates the SLO attainment telemetry
-// in Result: per-request targets configured alongside an explicit
-// scheduling policy (so legacy Results stay byte-identical, and sweeps
-// can measure any policy — fifo included — against the same targets).
+// in Result: some per-request target is configured, under any policy.
 func (c Config) sloOn() bool {
-	return c.Sched != "" && (c.SLOTTFT > 0 || c.SLOTBT > 0)
+	return c.SLOTTFT > 0 || c.SLOTBT > 0
+}
+
+// withDefaults resolves the empty policy names to their named defaults —
+// SchedFIFO, PrefetchOff and RouterShared — so the zero Config runs, and
+// reports, exactly what the explicit one does.
+func (c Config) withDefaults() Config {
+	c.Sched = orDefault(c.Sched, SchedFIFO)
+	c.PrefetchPolicy = orDefault(c.PrefetchPolicy, PrefetchOff)
+	c.Router = orDefault(c.Router, RouterShared)
+	return c
+}
+
+func orDefault(name, def string) string {
+	if name == "" {
+		return def
+	}
+	return name
 }
 
 // shards returns the effective store shard count.
@@ -271,6 +280,7 @@ func (c Config) chunks() workload.Chunks {
 // ChunksPerRequest, Skew) are validated by the workload that uses them;
 // here they only need to be non-negative.
 func (c Config) Validate() error {
+	c = c.withDefaults()
 	switch c.Scheme {
 	case baselines.FullRecompute, baselines.PrefixCaching, baselines.FullKVReuse, baselines.CacheBlend:
 	default:
@@ -309,7 +319,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("starve limit %d: negative", c.StarveLimit)
 	}
 	switch c.Sched {
-	case "", SchedFIFO, SchedChunkedPrefill, SchedDecodePriority, SchedSLO:
+	case SchedFIFO, SchedChunkedPrefill, SchedDecodePriority, SchedSLO:
 	default:
 		return fmt.Errorf("scheduling policy %q: want %s, %s, %s or %s",
 			c.Sched, SchedFIFO, SchedChunkedPrefill, SchedDecodePriority, SchedSLO)
@@ -327,9 +337,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("TTFT SLO target %v: must be finite and non-negative", c.SLOTTFT)
 	case math.IsNaN(c.SLOTBT) || math.IsInf(c.SLOTBT, 0) || c.SLOTBT < 0:
 		return fmt.Errorf("TBT SLO target %v: must be finite and non-negative", c.SLOTBT)
-	}
-	if (c.SLOTTFT > 0 || c.SLOTBT > 0) && c.Sched == "" {
-		return fmt.Errorf("SLO targets require an explicit scheduling policy (set Config.Sched)")
 	}
 	if c.Sched == SchedSLO && c.SLOTTFT <= 0 {
 		return fmt.Errorf("the %s policy requires a TTFT target (set Config.SLOTTFT)", SchedSLO)
@@ -409,11 +416,6 @@ type Result struct {
 	PrefillStepShare float64 `json:",omitempty"`
 	DecodeStepShare  float64 `json:",omitempty"`
 	MixedStepShare   float64 `json:",omitempty"`
-	// Scheduling telemetry, populated only when Config.Sched names a
-	// policy explicitly (the empty legacy default leaves all three
-	// zero, keeping pre-policy Results byte-identical; naming "fifo"
-	// measures the same schedule with the telemetry on).
-	//
 	// StallTime sums, over post-warmup mixed steps, the decoder-seconds
 	// lost to prefill pacing: (step duration − what a decode-only step
 	// of the same width would have cost) × resident decoders. It is the
@@ -426,10 +428,8 @@ type Result struct {
 	MeanPrefillDelay float64 `json:",omitempty"`
 	P95PrefillDelay  float64 `json:",omitempty"`
 	// SLO telemetry, populated only when per-request targets
-	// (Config.SLOTTFT/SLOTBT) are configured alongside an explicit
-	// policy (legacy Results stay byte-identical; any policy — fifo
-	// included — measures against the same targets, so SLO sweeps
-	// compare like against like).
+	// (Config.SLOTTFT/SLOTBT) are configured; every policy measures
+	// against the same targets, so SLO sweeps compare like against like.
 	//
 	// SLOAttainment is the fraction of measured completed requests
 	// meeting every configured target (TTFT ≤ SLOTTFT and mean TBT ≤
@@ -447,10 +447,6 @@ type Result struct {
 	// SLOViolations counts measured completed requests that missed at
 	// least one configured target.
 	SLOViolations int64 `json:",omitempty"`
-	// Prefetch telemetry, populated only when Config.PrefetchPolicy is
-	// set ("off" included — the synchronous baseline with the telemetry
-	// on, so sweeps compare like against like).
-	//
 	// TierStallTime sums, over post-warmup admissions, the prefill
 	// seconds attributable to chunks not being HBM-resident: the
 	// request's priced load/blend cost (residual transfer waits included)
@@ -468,11 +464,7 @@ type Result struct {
 	// HBMHitRate is the effective top-tier hit rate: lookups served from
 	// HBM or from a transfer already flying toward it, over all lookups.
 	HBMHitRate float64 `json:",omitempty"`
-	// Cluster-routing telemetry, populated only when Config.Router names
-	// a policy explicitly ("shared" included — the single-node baseline
-	// with the telemetry on, so router sweeps compare like against like).
-	//
-	// Router echoes the policy the run used.
+	// Router echoes the routing policy the run used.
 	Router string `json:",omitempty"`
 	// ReplicaHitRates is each replica store's KV hit rate over its own
 	// lookups — one entry per replica under the routed policies, a
@@ -493,8 +485,7 @@ type Result struct {
 	// at run end, summed over the extra copies.
 	DuplicationBytes int64 `json:",omitempty"`
 	// Membership-event telemetry, populated only when Config.Events
-	// schedules kills or joins (legacy and static-routing Results stay
-	// byte-identical).
+	// schedules kills or joins.
 	//
 	// Failovers counts the kill events that fired; ReroutedRequests the
 	// requests a kill drained off a dead node's queue and re-routed to a
@@ -546,8 +537,8 @@ type TenantUsage struct {
 	OutputTokens int64   `json:",omitempty"`
 	// SLOAttainment is the tenant's fraction of measured completed
 	// requests meeting every configured target — populated only when the
-	// run's SLO telemetry is on (Config.SLOTTFT/SLOTBT with an explicit
-	// policy), zero and omitted otherwise.
+	// run's SLO telemetry is on (Config.SLOTTFT/SLOTBT set), zero and
+	// omitted otherwise.
 	SLOAttainment float64 `json:",omitempty"`
 }
 
@@ -695,10 +686,10 @@ func runClosedLoop(cfg Config, w workload.ClosedLoopWorkload, n, warmup int, see
 // serviceTime computes one request's prefill service time under the
 // scheme, updating replica si's KV store, and reports the request's store
 // lookup and hit counts for per-tenant accounting plus its tier-read
-// stall (the priced cost beyond an all-HBM request, computed only under a
-// prefetch policy). It is evaluated when the request is admitted into a
-// replica's batch, against the store's state at that moment, and sizes the prompt
-// from the request's own chunk list — trace-replayed requests may
+// stall (the priced cost beyond an all-HBM request). It is evaluated
+// when the request is admitted into a replica's batch, against the
+// store's state at that moment, and sizes the prompt from the request's
+// own chunk list — trace-replayed requests may
 // retrieve any number of chunks. Hits are charged the read time of the
 // tier the chunk was found on — or, for a chunk whose promotion is
 // already in flight, the transfer's residual wait; for CacheBlend each
@@ -840,19 +831,17 @@ func (c *cluster) chunkCost(si, tier int) float64 {
 // (waits included) beyond what the same found chunks would have cost had
 // every one been HBM-resident — the hypothetical cost is computed through
 // the same per-tier pricing with all hits moved to tier 0, so fixed
-// per-tier latency terms cancel. Zero when neither the prefetch
-// telemetry nor a membership schedule (whose ReWarmStall sums the same
-// quantity for re-routed requests) needs it.
+// per-tier latency terms cancel.
 func (c *cluster) reuseStall(si int, cost float64, tierChunks []int, found int) float64 {
-	if !c.prefetchOn && !c.eventsOn {
-		return 0
-	}
 	cfg, store := c.cfg, c.stores[si]
-	hot := make([]int, len(tierChunks))
-	hot[0] = found
 	var hotCost float64
 	if cfg.Scheme == baselines.FullKVReuse {
-		for tier, n := range hot {
+		// Price every tier, empty ones included, as loadCost does.
+		for tier := range tierChunks {
+			n := 0
+			if tier == 0 {
+				n = found
+			}
 			hotCost += store.TierDevice(tier).ReadTime(int64(n) * c.chunkBytes)
 		}
 	} else if found > 0 {

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/baselines"
 	"repro/internal/device"
 	"repro/internal/timing"
+	"repro/internal/workload"
 )
 
 func baseConfig(s baselines.Scheme) Config {
@@ -21,6 +23,60 @@ func baseConfig(s baselines.Scheme) Config {
 		ChunkTokens:      512,
 		QueryTokens:      32,
 		Skew:             0.8,
+	}
+}
+
+// TestDefaultPoliciesAlias: the empty Sched, PrefetchPolicy and Router
+// name the defaults, so the zero-value Config and the explicit
+// fifo/off/shared one give byte-identical Results — on flat and tiered
+// stores, under decode and multi-tenant traffic — and that Result carries
+// the scheduling and single-node router telemetry.
+func TestDefaultPoliciesAlias(t *testing.T) {
+	workloads := []struct {
+		name   string
+		w      workload.Workload
+		decode bool
+	}{
+		{"decode", burstyDecode(0.6), true},
+		{"multi-tenant", routerTestMix(2.0), false},
+	}
+	for _, tiered := range []bool{false, true} {
+		for _, wl := range workloads {
+			zero := routerTestConfig("")
+			name := "tiered/" + wl.name
+			if !tiered {
+				zero.Tiers = nil
+				zero.Device = device.NVMeSSD
+				zero.StoreCapacity = 56 * zero.Spec.KVBytes(zero.ChunkTokens)
+				name = "flat/" + wl.name
+			}
+			explicit := zero
+			explicit.Sched, explicit.PrefetchPolicy, explicit.Router = SchedFIFO, PrefetchOff, RouterShared
+			got, err := RunWorkload(zero, wl.w, 200, 40, 7)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := RunWorkload(explicit, wl.w, 200, 40, 7)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			gj, _ := json.Marshal(got)
+			wj, _ := json.Marshal(want)
+			if string(gj) != string(wj) {
+				t.Errorf("%s: zero Config differs from explicit fifo/off/shared:\n zero %s\n  set %s", name, gj, wj)
+			}
+			// One store (one hit-rate row), but admission counts stay per
+			// replica: shared replicas pull from the common queue.
+			if want.Router != RouterShared || len(want.ReplicaHitRates) != 1 ||
+				len(want.ReplicaRequests) != zero.Replicas || want.DuplicationBytes != 0 {
+				t.Errorf("%s: shared telemetry malformed: router=%q hitrates=%v reqs=%v dup=%d", name,
+					want.Router, want.ReplicaHitRates, want.ReplicaRequests, want.DuplicationBytes)
+			}
+			if want.MeanPrefillDelay <= 0 || (wl.decode && want.StallTime <= 0) {
+				t.Errorf("%s: scheduling telemetry missing under load: stall=%v delay=%v",
+					name, want.StallTime, want.MeanPrefillDelay)
+			}
+		}
 	}
 }
 
