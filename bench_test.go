@@ -123,7 +123,7 @@ func BenchmarkFig17StorageDevices(b *testing.B) {
 // ---- Core-primitive micro-benchmarks -------------------------------------
 
 // benchInput builds one fused RAG request against the constructed model.
-func benchInput(b *testing.B) (blend.Input, *qamodel.Vocab) {
+func benchInput(b testing.TB) (blend.Input, *qamodel.Vocab) {
 	b.Helper()
 	m, v := qamodel.Build()
 	cfg := dataset.MusiqueConfig()
@@ -148,6 +148,25 @@ func BenchmarkFusorBlend(b *testing.B) {
 			Mode: blend.ModeBlend, RecomputeRatio: 0.15,
 			SelectionLayer: qamodel.SelectionLayer,
 		})
+	}
+}
+
+// fuseAnswerAllocs bounds the heap allocations of one served request —
+// Fuse at r = 0.15 plus Answer — at the measured count. With batched
+// layer kernels allocations are O(layers) and deterministic, so any rise
+// is a real regression: a per-row or per-token allocation back in the
+// numeric path.
+const fuseAnswerAllocs = 112
+
+func TestFuseAnswerAllocs(t *testing.T) {
+	in, _ := benchInput(t)
+	opts := blend.Options{Mode: blend.ModeBlend, RecomputeRatio: 0.15, SelectionLayer: qamodel.SelectionLayer}
+	got := testing.AllocsPerRun(5, func() {
+		res := blend.Fuse(in, opts)
+		qamodel.Answer(in.Model, res.Cache, res.Hidden.Row(res.Hidden.Rows-1))
+	})
+	if got > fuseAnswerAllocs {
+		t.Fatalf("Fuse+Answer allocates %.0f times per request, bound %d", got, fuseAnswerAllocs)
 	}
 }
 

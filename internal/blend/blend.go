@@ -173,29 +173,34 @@ func Fuse(in Input, opts Options) *Result {
 	}
 
 	// Assemble the fused token sequence and the loaded (pre-computed)
-	// cache: each chunk re-positioned to its offset, suffix rows empty.
-	var tokens []int
-	parts := make([]*kvcache.Cache, 0, len(in.Chunks)+1)
-	off := 0
+	// cache in one allocation: each chunk copied to its offset and
+	// re-positioned there, suffix rows empty.
+	total := len(in.SuffixTokens)
 	for ci, cc := range in.Chunks {
 		if cc.Tokens != len(in.ChunkTokens[ci]) {
 			panic(fmt.Sprintf("blend: chunk %d cache has %d tokens, text has %d", ci, cc.Tokens, len(in.ChunkTokens[ci])))
 		}
-		shifted := cc.Clone()
-		if m.Rope != nil && !opts.DisableReposition {
-			shifted.ShiftPositions(m.Rope, cfg.KVHeads, cfg.HeadDim, off)
-		} else {
-			shifted.BasePos = off
+		if cc.NumLayers != cfg.Layers || cc.KVDim != cfg.KVDim() {
+			panic(fmt.Sprintf("blend: chunk %d cache geometry %d/%d, model %d/%d", ci, cc.NumLayers, cc.KVDim, cfg.Layers, cfg.KVDim()))
 		}
-		parts = append(parts, shifted)
+		total += cc.Tokens
+	}
+	fused := m.NewCache(total)
+	tokens := make([]int, 0, total)
+	off := 0
+	for ci, cc := range in.Chunks {
+		for li := 0; li < cfg.Layers; li++ {
+			copy(fused.K[li].Data[off*cc.KVDim:], cc.K[li].Data)
+			copy(fused.V[li].Data[off*cc.KVDim:], cc.V[li].Data)
+		}
+		if m.Rope != nil && !opts.DisableReposition && cc.BasePos != off {
+			fused.ShiftRows(m.Rope, cfg.KVHeads, cfg.HeadDim, off, cc.Tokens, cc.BasePos, off)
+		}
 		tokens = append(tokens, in.ChunkTokens[ci]...)
 		off += cc.Tokens
 	}
 	suffixStart := off
-	parts = append(parts, m.NewCache(len(in.SuffixTokens)))
 	tokens = append(tokens, in.SuffixTokens...)
-	fused := kvcache.Concat(parts...)
-	fused.BasePos = 0
 
 	res := &Result{
 		Cache:            fused,
@@ -345,11 +350,11 @@ func fuseBlend(m *model.Model, res *Result, r float64, sched []float64, opts Opt
 		if len(curCtx) > 0 {
 			// Measure deviation of the surviving candidates on this layer
 			// before overwriting their KV.
-			preK := make([][]float32, len(curCtx))
-			preVv := make([][]float32, len(curCtx))
+			preK := tensor.New(len(curCtx), cfg.KVDim())
+			preVv := tensor.New(len(curCtx), cfg.KVDim())
 			for i, j := range curCtx {
-				preK[i] = append([]float32(nil), res.Cache.RowK(li, j)...)
-				preVv[i] = append([]float32(nil), res.Cache.RowV(li, j)...)
+				copy(preK.Row(i), res.Cache.RowK(li, j))
+				copy(preVv.Row(i), res.Cache.RowV(li, j))
 			}
 			var next []int
 			if opts.DisableGradualFilter || opts.RandomSelection {
@@ -365,8 +370,8 @@ func fuseBlend(m *model.Model, res *Result, r float64, sched []float64, opts Opt
 				res.ProjectedTokenLayers += len(curCtx)
 				devs := make([]float64, len(curCtx))
 				for i, j := range curCtx {
-					dk := tensor.L2Diff(res.Cache.RowK(li, j), preK[i])
-					dv := tensor.L2Diff(res.Cache.RowV(li, j), preVv[i])
+					dk := tensor.L2Diff(res.Cache.RowK(li, j), preK.Row(i))
+					dv := tensor.L2Diff(res.Cache.RowV(li, j), preVv.Row(i))
 					devs[i] = dk + dv
 				}
 				keep := int(ratioAt(step)*float64(ctxLen) + 0.5)
@@ -384,8 +389,8 @@ func fuseBlend(m *model.Model, res *Result, r float64, sched []float64, opts Opt
 				dropped := diffSorted(curCtx, next)
 				for _, j := range dropped {
 					i := indexOf(curCtx, j)
-					copy(res.Cache.K[li].Row(j), preK[i])
-					copy(res.Cache.V[li].Row(j), preVv[i])
+					copy(res.Cache.K[li].Row(j), preK.Row(i))
+					copy(res.Cache.V[li].Row(j), preVv.Row(i))
 				}
 			}
 			curCtx = next

@@ -145,3 +145,61 @@ func TestHKVDWithinContext(t *testing.T) {
 		}
 	}
 }
+
+// TestFuseLeavesChunkCachesByteIdentical: Fuse copies each chunk into the
+// fused cache before re-rotating it, so the inputs keep every byte —
+// including chunks whose BasePos already equals their offset and the
+// DisableReposition ablation.
+func TestFuseLeavesChunkCachesByteIdentical(t *testing.T) {
+	m := model.NewRandom(testCfg, 51)
+	in := makeInputSeed(m, 3, 8, 4, 52)
+	// The second chunk was computed at its fused offset: no shift needed.
+	in.Chunks[1] = m.Prefill(in.ChunkTokens[1], 8, false).Cache
+	var before [][]byte
+	for _, c := range in.Chunks {
+		b, _ := c.MarshalBinary()
+		before = append(before, b)
+	}
+	for _, opts := range []Options{
+		{Mode: ModeBlend, RecomputeRatio: 0.3},
+		{Mode: ModeBlend, RecomputeRatio: 0.3, DisableReposition: true},
+		{Mode: ModeFullReuse},
+		{Mode: ModeFullRecompute},
+	} {
+		Fuse(in, opts)
+		for i, c := range in.Chunks {
+			after, _ := c.MarshalBinary()
+			if string(after) != string(before[i]) {
+				t.Fatalf("%+v: chunk %d cache changed", opts, i)
+			}
+		}
+	}
+}
+
+// TestFuseRepositionsLikeShiftedConcat: the single-allocation assembly
+// loads exactly what cloning, shifting and concatenating the chunks did.
+func TestFuseRepositionsLikeShiftedConcat(t *testing.T) {
+	m := model.NewRandom(testCfg, 53)
+	in := makeInputSeed(m, 3, 6, 0, 54)
+	in.Chunks[2] = m.Prefill(in.ChunkTokens[2], 12, false).Cache
+	for _, noRepo := range []bool{false, true} {
+		var parts []*kvcache.Cache
+		off := 0
+		for _, cc := range in.Chunks {
+			s := cc.Clone()
+			if noRepo {
+				s.BasePos = off
+			} else {
+				s.ShiftPositions(m.Rope, testCfg.KVHeads, testCfg.HeadDim, off)
+			}
+			parts = append(parts, s)
+			off += cc.Tokens
+		}
+		want, _ := kvcache.Concat(parts...).MarshalBinary()
+		res := Fuse(in, Options{Mode: ModeFullReuse, DisableReposition: noRepo})
+		got, _ := res.Cache.MarshalBinary()
+		if string(got) != string(want) {
+			t.Fatalf("DisableReposition=%v: fused cache differs from shifted concatenation", noRepo)
+		}
+	}
+}

@@ -130,6 +130,16 @@ func (c *Cache) ShiftPositions(tab *rope.Table, kvHeads, headDim, newBase int) {
 	if c.BasePos == newBase {
 		return
 	}
+	c.ShiftRows(tab, kvHeads, headDim, 0, c.Tokens, c.BasePos, newBase)
+	c.BasePos = newBase
+}
+
+// ShiftRows re-rotates, on every layer, the keys of the n tokens starting
+// at row first from absolute positions oldBase+t to newBase+t (t = 0..n-1),
+// leaving BasePos alone. It is ShiftPositions for a block of rows, which
+// lets a fused cache re-position each chunk it was assembled from in
+// place.
+func (c *Cache) ShiftRows(tab *rope.Table, kvHeads, headDim, first, n, oldBase, newBase int) {
 	rot := tab.HeadDim()
 	if rot > headDim {
 		panic(fmt.Sprintf("kvcache: rotary dims %d > head dim %d", rot, headDim))
@@ -137,17 +147,17 @@ func (c *Cache) ShiftPositions(tab *rope.Table, kvHeads, headDim, newBase int) {
 	if kvHeads*headDim != c.KVDim {
 		panic(fmt.Sprintf("kvcache: %d heads × %d dim != kv dim %d", kvHeads, headDim, c.KVDim))
 	}
+	if first < 0 || n < 0 || first+n > c.Tokens {
+		panic(fmt.Sprintf("kvcache: shift rows [%d,%d) out of range %d", first, first+n, c.Tokens))
+	}
 	for i := 0; i < c.NumLayers; i++ {
-		for j := 0; j < c.Tokens; j++ {
-			row := c.K[i].Row(j)
-			from := c.BasePos + j
-			to := newBase + j
+		for t := 0; t < n; t++ {
+			row := c.K[i].Row(first + t)
 			for h := 0; h < kvHeads; h++ {
-				tab.Shift(row[h*headDim:h*headDim+rot], from, to)
+				tab.Shift(row[h*headDim:h*headDim+rot], oldBase+t, newBase+t)
 			}
 		}
 	}
-	c.BasePos = newBase
 }
 
 // Grow extends the cache by extra zero-filled token rows on every layer.

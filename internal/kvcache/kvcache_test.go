@@ -376,3 +376,29 @@ func TestShiftPositionsPartialRotary(t *testing.T) {
 		t.Fatal("rotary dims should have changed")
 	}
 }
+
+func TestShiftRowsMatchesShiftPositionsOfSlice(t *testing.T) {
+	// Shifting rows [3,7) in place equals slicing them out, shifting the
+	// slice and leaves every other row and BasePos untouched.
+	const headDim, kvHeads = 8, 2
+	tab := rope.NewTable(headDim, 10000)
+	c := randomCache(6, 2, kvHeads*headDim, 10)
+	want := c.Slice(3, 7)
+	want.ShiftPositions(tab, kvHeads, headDim, 40)
+	before := c.Clone()
+	c.ShiftRows(tab, kvHeads, headDim, 3, 4, 3, 40)
+	if c.BasePos != before.BasePos {
+		t.Fatal("ShiftRows must not move BasePos")
+	}
+	got := c.Slice(3, 7)
+	for i := 0; i < c.NumLayers; i++ {
+		if tensor.MaxAbsDiff(got.K[i].Data, want.K[i].Data) != 0 || tensor.MaxAbsDiff(got.V[i].Data, want.V[i].Data) != 0 {
+			t.Fatalf("layer %d: shifted block differs", i)
+		}
+		for _, j := range []int{0, 1, 2, 7, 8, 9} {
+			if tensor.MaxAbsDiff(c.RowK(i, j), before.RowK(i, j)) != 0 {
+				t.Fatalf("layer %d: row %d outside the block changed", i, j)
+			}
+		}
+	}
+}

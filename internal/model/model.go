@@ -144,12 +144,74 @@ func (m *Model) EmbedTokens(tokens []int) *tensor.Matrix {
 	return h
 }
 
-func (m *Model) normInto(dst, x, gain []float32) {
+// normRows returns the normalised rows of h. Under NormNone that is h
+// itself, so callers must not write to the result.
+func (m *Model) normRows(h *tensor.Matrix, gain []float32) *tensor.Matrix {
 	if m.Cfg.Norm == NormNone {
-		copy(dst, x)
+		return h
+	}
+	out := tensor.New(h.Rows, h.Cols)
+	for r := 0; r < h.Rows; r++ {
+		tensor.RMSNorm(out.Row(r), h.Row(r), gain, m.Cfg.Eps)
+	}
+	return out
+}
+
+// checkRows validates the hidden rows and positions a layer call gets.
+func (m *Model) checkRows(h *tensor.Matrix, idx []int, c *kvcache.Cache) {
+	if h.Rows != len(idx) || h.Cols != m.Cfg.Hidden() {
+		panic(fmt.Sprintf("model: hidden shape %dx%d, want %dx%d", h.Rows, h.Cols, len(idx), m.Cfg.Hidden()))
+	}
+	for r, j := range idx {
+		if r > 0 && idx[r-1] >= j {
+			panic("model: idx must be strictly ascending")
+		}
+		if j < 0 || j >= c.Tokens {
+			panic(fmt.Sprintf("model: token index %d out of cache range %d", j, c.Tokens))
+		}
+	}
+}
+
+// rotate applies RoPE at absolute position c.BasePos+idx[r] to the first
+// RotaryDims of each of the heads in row r of x.
+func (m *Model) rotate(x *tensor.Matrix, heads int, idx []int, c *kvcache.Cache) {
+	if m.Rope == nil {
 		return
 	}
-	tensor.RMSNorm(dst, x, gain, m.Cfg.Eps)
+	hd, rot := m.Cfg.HeadDim, m.Cfg.RotaryDims
+	for r, j := range idx {
+		row := x.Row(r)
+		for hh := 0; hh < heads; hh++ {
+			m.Rope.Apply(row[hh*hd:hh*hd+rot], c.BasePos+j)
+		}
+	}
+}
+
+// writeKV projects the normalised rows x to K and V on layer li, rotates
+// the keys and stores both in c at the positions idx. When idx is one run
+// of consecutive positions (every full-prefill layer) the projections are
+// written straight into the cache rows.
+func (m *Model) writeKV(li int, x *tensor.Matrix, idx []int, c *kvcache.Cache) {
+	lw := &m.Layer[li]
+	n, kvDim := len(idx), m.Cfg.KVDim()
+	block := n > 0 && idx[n-1]-idx[0] == n-1
+	var k, v *tensor.Matrix
+	if block {
+		rows := func(p *tensor.Matrix) *tensor.Matrix {
+			return tensor.NewFrom(n, kvDim, p.Data[idx[0]*kvDim:(idx[n-1]+1)*kvDim])
+		}
+		k, v = rows(c.K[li]), rows(c.V[li])
+	} else {
+		k, v = tensor.New(n, kvDim), tensor.New(n, kvDim)
+	}
+	tensor.MatMulInto(k, x, lw.Wk)
+	tensor.MatMulInto(v, x, lw.Wv)
+	m.rotate(k, m.Cfg.KVHeads, idx, c)
+	if !block {
+		for r, j := range idx {
+			c.SetToken(li, j, k.Row(r), v.Row(r))
+		}
+	}
 }
 
 // ForwardLayerPartial computes layer li for the token positions listed in
@@ -163,6 +225,13 @@ func (m *Model) normInto(dst, x, gain []float32) {
 // Absolute positions are c.BasePos + index; rotary encoding (if enabled)
 // is applied to the first RotaryDims of each head.
 //
+// The selected rows run as one batch, in phases: normalise every row,
+// project Q, K and V with one MatMulInto each, rotate and store K/V,
+// attend row by row, project the head outputs through Wo and add the
+// residual, then run the FFN as batched MatMulInto calls. Each output
+// element sums in the same order as a row-at-a-time pass, so the result
+// does not depend on which other rows share the batch.
+//
 // The returned matrix holds the layer-(li+1) residual rows for idx. When
 // wantAttn is true the second result holds the attention probabilities of
 // the selected rows — len(idx) rows, Heads×c.Tokens columns — which is the
@@ -170,99 +239,100 @@ func (m *Model) normInto(dst, x, gain []float32) {
 // otherwise it is nil.
 func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvcache.Cache, wantAttn bool) (*tensor.Matrix, *tensor.Matrix) {
 	cfg := m.Cfg
-	if h.Rows != len(idx) || h.Cols != cfg.Hidden() {
-		panic(fmt.Sprintf("model: hidden shape %dx%d, want %dx%d", h.Rows, h.Cols, len(idx), cfg.Hidden()))
-	}
 	if li < 0 || li >= cfg.Layers {
 		panic(fmt.Sprintf("model: layer %d out of range", li))
 	}
+	m.checkRows(h, idx, c)
 	lw := &m.Layer[li]
-	nSel := len(idx)
-	headDim := cfg.HeadDim
-	group := cfg.GroupSize()
+	n := len(idx)
 
-	// Pass 1: project Q/K/V for the selected tokens and write K/V into
-	// the cache so pass 2 attends over the updated entries.
-	qs := tensor.New(nSel, cfg.Heads*headDim)
-	normed := make([]float32, cfg.Hidden())
-	for r, j := range idx {
-		if r > 0 && idx[r-1] >= j {
-			panic("model: idx must be strictly ascending")
-		}
-		if j < 0 || j >= c.Tokens {
-			panic(fmt.Sprintf("model: token index %d out of cache range %d", j, c.Tokens))
-		}
-		m.normInto(normed, h.Row(r), lw.AttnGain)
-		q := qs.Row(r)
-		copy(q, tensor.VecMat(normed, lw.Wq))
-		k := tensor.VecMat(normed, lw.Wk)
-		v := tensor.VecMat(normed, lw.Wv)
-		pos := c.BasePos + j
-		if m.Rope != nil {
-			rot := cfg.RotaryDims
-			for hh := 0; hh < cfg.Heads; hh++ {
-				m.Rope.Apply(q[hh*headDim:hh*headDim+rot], pos)
-			}
-			for hh := 0; hh < cfg.KVHeads; hh++ {
-				m.Rope.Apply(k[hh*headDim:hh*headDim+rot], pos)
-			}
-		}
-		c.SetToken(li, j, k, v)
-	}
+	// Project Q/K/V for the selected tokens and write K/V into the cache
+	// so attention runs over the updated entries.
+	x := m.normRows(h, lw.AttnGain)
+	q := tensor.New(n, cfg.Heads*cfg.HeadDim)
+	tensor.MatMulInto(q, x, lw.Wq)
+	m.rotate(q, cfg.Heads, idx, c)
+	m.writeKV(li, x, idx, c)
 
-	// Pass 2: attention over the full (updated ∪ reused) KV, then FFN.
+	// Attention over the full (updated ∪ reused) KV, then Wo and the
+	// residual.
 	var attn *tensor.Matrix
 	if wantAttn {
-		attn = tensor.New(nSel, cfg.Heads*c.Tokens)
+		attn = tensor.New(n, cfg.Heads*c.Tokens)
 	}
-	out := tensor.New(nSel, cfg.Hidden())
-	scale := float32(1.0 / math.Sqrt(float64(headDim)))
-	scores := make([]float32, c.Tokens)
-	headOut := make([]float32, cfg.Heads*headDim)
-	K := c.K[li]
-	V := c.V[li]
-	for r, j := range idx {
-		q := qs.Row(r)
-		for i := range headOut {
-			headOut[i] = 0
-		}
-		for hh := 0; hh < cfg.Heads; hh++ {
-			g := hh / group
-			qh := q[hh*headDim : (hh+1)*headDim]
-			n := j + 1 // causal: attend to positions 0..j
-			for t := 0; t < n; t++ {
-				kt := K.Row(t)[g*headDim : (g+1)*headDim]
-				scores[t] = tensor.Dot(qh, kt) * scale
-			}
-			tensor.Softmax(scores[:n])
-			oh := headOut[hh*headDim : (hh+1)*headDim]
-			for t := 0; t < n; t++ {
-				w := scores[t]
-				if w == 0 {
-					continue
-				}
-				tensor.AXPY(w, V.Row(t)[g*headDim:(g+1)*headDim], oh)
-			}
-			if wantAttn {
-				copy(attn.Row(r)[hh*c.Tokens:hh*c.Tokens+n], scores[:n])
-			}
-		}
-		res := out.Row(r)
-		copy(res, h.Row(r))
-		tensor.Add(res, tensor.VecMat(headOut, lw.Wo))
+	heads := tensor.New(n, cfg.Heads*cfg.HeadDim)
+	m.attend(li, q, heads, idx, c, attn)
+	out := tensor.New(n, cfg.Hidden())
+	tensor.MatMulInto(out, heads, lw.Wo)
+	tensor.Add(out.Data, h.Data)
 
-		if cfg.FFNDim > 0 {
-			m.normInto(normed, res, lw.FFNGain)
-			gate := tensor.VecMat(normed, lw.W1)
-			up := tensor.VecMat(normed, lw.W3)
-			tensor.SiLU(gate)
-			for i := range gate {
-				gate[i] *= up[i]
-			}
-			tensor.Add(res, tensor.VecMat(gate, lw.W2))
+	if cfg.FFNDim > 0 {
+		x = m.normRows(out, lw.FFNGain)
+		gate := tensor.New(n, cfg.FFNDim)
+		up := tensor.New(n, cfg.FFNDim)
+		tensor.MatMulInto(gate, x, lw.W1)
+		tensor.MatMulInto(up, x, lw.W3)
+		tensor.SiLU(gate.Data)
+		for i := range gate.Data {
+			gate.Data[i] *= up.Data[i]
 		}
+		down := tensor.New(n, cfg.Hidden())
+		tensor.MatMulInto(down, gate, lw.W2)
+		tensor.Add(out.Data, down.Data)
 	}
 	return out, attn
+}
+
+// attend writes each selected row's causal attention output (positions
+// 0..idx[r]) into row r of heads, and its probabilities into attn when
+// attn is non-nil. Scores come four keys per pass; each still sums in
+// index order, so it equals tensor.Dot.
+func (m *Model) attend(li int, q, heads *tensor.Matrix, idx []int, c *kvcache.Cache, attn *tensor.Matrix) {
+	cfg := m.Cfg
+	hd, group, kvDim := cfg.HeadDim, cfg.GroupSize(), cfg.KVDim()
+	scale := float32(1.0 / math.Sqrt(float64(hd)))
+	K, V := c.K[li].Data, c.V[li].Data
+	scores := make([]float32, c.Tokens)
+	live := make([]int, 0, c.Tokens)
+	for r, j := range idx {
+		n := j + 1 // causal: attend to positions 0..j
+		s := scores[:n]
+		for hh := 0; hh < cfg.Heads; hh++ {
+			off := (hh / group) * hd
+			qh := q.Row(r)[hh*hd : (hh+1)*hd]
+			key := func(t int) []float32 { return K[t*kvDim+off : t*kvDim+off+hd] }
+			t := 0
+			for ; t+4 <= n; t += 4 {
+				s0, s1, s2, s3 := tensor.Dot4(qh, key(t), key(t+1), key(t+2), key(t+3))
+				s[t], s[t+1], s[t+2], s[t+3] = s0*scale, s1*scale, s2*scale, s3*scale
+			}
+			for ; t < n; t++ {
+				s[t] = tensor.Dot(qh, key(t)) * scale
+			}
+			tensor.Softmax(s)
+			// Weighted value sum over the nonzero weights, in ascending
+			// position order, four values per pass.
+			live = live[:0]
+			for t, w := range s {
+				if w != 0 {
+					live = append(live, t)
+				}
+			}
+			oh := heads.Row(r)[hh*hd : (hh+1)*hd]
+			val := func(t int) []float32 { return V[t*kvDim+off : t*kvDim+off+hd] }
+			i := 0
+			for ; i+4 <= len(live); i += 4 {
+				t0, t1, t2, t3 := live[i], live[i+1], live[i+2], live[i+3]
+				tensor.AXPY4(s[t0], s[t1], s[t2], s[t3], val(t0), val(t1), val(t2), val(t3), oh)
+			}
+			for ; i < len(live); i++ {
+				tensor.AXPY(s[live[i]], val(live[i]), oh)
+			}
+			if attn != nil {
+				copy(attn.Row(r)[hh*c.Tokens:], s)
+			}
+		}
+	}
 }
 
 // ProjectKV computes and stores fresh K/V cache entries on layer li for
@@ -273,26 +343,8 @@ func (m *Model) ForwardLayerPartial(li int, h *tensor.Matrix, idx []int, c *kvca
 // tokens that survive selection — so the projection cost is paid for all
 // tokens on one layer while the quadratic attention cost is not.
 func (m *Model) ProjectKV(li int, h *tensor.Matrix, idx []int, c *kvcache.Cache) {
-	cfg := m.Cfg
-	if h.Rows != len(idx) || h.Cols != cfg.Hidden() {
-		panic(fmt.Sprintf("model: hidden shape %dx%d, want %dx%d", h.Rows, h.Cols, len(idx), cfg.Hidden()))
-	}
-	lw := &m.Layer[li]
-	headDim := cfg.HeadDim
-	normed := make([]float32, cfg.Hidden())
-	for r, j := range idx {
-		m.normInto(normed, h.Row(r), lw.AttnGain)
-		k := tensor.VecMat(normed, lw.Wk)
-		v := tensor.VecMat(normed, lw.Wv)
-		pos := c.BasePos + j
-		if m.Rope != nil {
-			rot := cfg.RotaryDims
-			for hh := 0; hh < cfg.KVHeads; hh++ {
-				m.Rope.Apply(k[hh*headDim:hh*headDim+rot], pos)
-			}
-		}
-		c.SetToken(li, j, k, v)
-	}
+	m.checkRows(h, idx, c)
+	m.writeKV(li, m.normRows(h, m.Layer[li].AttnGain), idx, c)
 }
 
 // PrefillResult bundles the outputs of a prefill pass.
@@ -331,9 +383,8 @@ func (m *Model) Prefill(tokens []int, basePos int, wantAttn bool) *PrefillResult
 
 // Logits applies the final norm and LM head to one residual-stream row.
 func (m *Model) Logits(h []float32) []float32 {
-	normed := make([]float32, len(h))
-	m.normInto(normed, h, m.FinalGain)
-	return tensor.VecMat(normed, m.LMHead)
+	normed := m.normRows(tensor.NewFrom(1, len(h), h), m.FinalGain)
+	return tensor.VecMat(normed.Data, m.LMHead)
 }
 
 // Generate decodes greedily from the cache. lastHidden must be the

@@ -338,3 +338,35 @@ func TestBuildDeepBlendRecovery(t *testing.T) {
 		t.Fatalf("deep model: blend answered %q want %q", v.Name(gotBlend), v.Name(ans))
 	}
 }
+
+func TestAnswerIsFirstGeneratedTokenAndLeavesCache(t *testing.T) {
+	m, v := Build()
+	check := func(name string, c *kvcache.Cache, last []float32) {
+		t.Helper()
+		tokens, k0 := c.Tokens, c.K[0]
+		want := m.Generate(c.Clone(), last, 1, nil)
+		got := Answer(m, c, last)
+		if len(want) != 1 || got != want[0] {
+			t.Fatalf("%s: Answer = %d, Generate decoded %v", name, got, want)
+		}
+		if c.Tokens != tokens || c.K[0] != k0 {
+			t.Fatalf("%s: Answer modified the cache (%d -> %d tokens)", name, tokens, c.Tokens)
+		}
+	}
+	for _, split := range []bool{false, true} {
+		ctx, query, _ := buildTwoHop(v, split)
+		toks := concat(ctx, query)
+		res := m.Prefill(toks, 0, false)
+		check("prefill", res.Cache, res.Hidden.Row(len(toks)-1))
+	}
+	ctx, query, _ := buildTwoHop(v, true)
+	chunks := [][]int{ctx[:len(ctx)/2], ctx[len(ctx)/2:]}
+	in := blend.Input{Model: m, ChunkTokens: chunks, SuffixTokens: query}
+	for _, ch := range chunks {
+		in.Chunks = append(in.Chunks, m.Prefill(ch, 0, false).Cache)
+	}
+	for _, mode := range []blend.Mode{blend.ModeBlend, blend.ModeFullReuse, blend.ModeFullRecompute} {
+		res := blend.Fuse(in, blend.Options{Mode: mode, RecomputeRatio: 0.15, SelectionLayer: SelectionLayer})
+		check(mode.String(), res.Cache, res.Hidden.Row(res.Hidden.Rows-1))
+	}
+}

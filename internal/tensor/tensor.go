@@ -80,24 +80,63 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulInto computes a×b into dst, which must be a.Rows × b.Cols.
-// The ikj loop order keeps the inner loop streaming over contiguous rows.
+// MatMulInto computes a×b into dst, which must be a.Rows × b.Cols. It is
+// the one projection kernel of the transformer substrate: a layer runs all
+// of its selected token rows through it as one batch.
+//
+// The shared dimension k is the outer loop, so every output element
+// dst[i][j] sums its products a[i][k]·b[k][j] in ascending-k order — the
+// order of a row-at-a-time ikj loop — and batching rows cannot change a
+// result. Two kinds of work with an exact zero are skipped, both derived
+// on each call so b stays a plain mutable matrix: every k that no row of a
+// reads (a zero column of the activations), and, within each row of b,
+// everything outside its first-to-last-nonzero span. A skipped product is
+// ±0, and adding ±0 to a sum that starts at +0 never changes it, so for
+// finite inputs the result is bit-identical to the dense loop. Only a
+// non-finite value meeting an exact zero (Inf·0 = NaN) could differ.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch dst %dx%d = %dx%d × %dx%d",
 			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.Zero()
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := arow[k]
+	n, inner, cols := a.Rows, a.Cols, b.Cols
+	for k := 0; k < inner; k++ {
+		first := 0
+		for first < n && a.Data[first*inner+k] == 0 {
+			first++
+		}
+		if first == n {
+			continue // no row reads k
+		}
+		brow := b.Data[k*cols : (k+1)*cols]
+		lo, hi := 0, cols
+		for lo < hi && brow[lo] == 0 {
+			lo++
+		}
+		for hi > lo && brow[hi-1] == 0 {
+			hi--
+		}
+		if lo == hi {
+			continue
+		}
+		brow = brow[lo:hi]
+		for i := first; i < n; i++ {
+			av := a.Data[i*inner+k]
 			if av == 0 {
 				continue
 			}
-			brow := b.Row(k)
-			for j := range drow {
+			drow := dst.Data[i*cols+lo : i*cols+hi]
+			drow = drow[:len(brow)]
+			j := 0
+			for ; j+4 <= len(brow); j += 4 {
+				dq, bq := drow[j:j+4:j+4], brow[j:j+4:j+4]
+				dq[0] += av * bq[0]
+				dq[1] += av * bq[1]
+				dq[2] += av * bq[2]
+				dq[3] += av * bq[3]
+			}
+			for ; j < len(brow); j++ {
 				drow[j] += av * brow[j]
 			}
 		}
@@ -109,11 +148,7 @@ func MatVec(a *Matrix, x []float32) []float32 {
 	if a.Cols != len(x) {
 		panic(fmt.Sprintf("tensor: matvec shape mismatch %dx%d × %d", a.Rows, a.Cols, len(x)))
 	}
-	out := make([]float32, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		out[i] = Dot(a.Row(i), x)
-	}
-	return out
+	return MatMul(a, NewFrom(len(x), 1, x)).Data
 }
 
 // VecMat returns xᵀ×a where x has length a.Rows; the result has length a.Cols.
@@ -121,17 +156,7 @@ func VecMat(x []float32, a *Matrix) []float32 {
 	if a.Rows != len(x) {
 		panic(fmt.Sprintf("tensor: vecmat shape mismatch %d × %dx%d", len(x), a.Rows, a.Cols))
 	}
-	out := make([]float32, a.Cols)
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := a.Row(i)
-		for j := range out {
-			out[j] += xv * row[j]
-		}
-	}
-	return out
+	return MatMul(NewFrom(1, len(x), x), a).Data
 }
 
 // Dot returns the inner product of a and b, which must have equal length.
@@ -146,6 +171,24 @@ func Dot(a, b []float32) float32 {
 	return s
 }
 
+// Dot4 returns the inner products of a with each of b0..b3, which must
+// all have len(a) elements. It is the attention scorer: four keys per pass
+// over the query, with four independent accumulators, each summing in
+// index order, so every result equals Dot(a, bi) bit for bit.
+func Dot4(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
+	n := len(a)
+	if len(b0) != n || len(b1) != n || len(b2) != n || len(b3) != n {
+		panic(fmt.Sprintf("tensor: dot4 length mismatch %d vs %d/%d/%d/%d", n, len(b0), len(b1), len(b2), len(b3)))
+	}
+	for i, av := range a {
+		s0 += av * b0[i]
+		s1 += av * b1[i]
+		s2 += av * b2[i]
+		s3 += av * b3[i]
+	}
+	return
+}
+
 // AXPY computes y += alpha*x in place.
 func AXPY(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
@@ -153,6 +196,23 @@ func AXPY(alpha float32, x, y []float32) {
 	}
 	for i := range x {
 		y[i] += alpha * x[i]
+	}
+}
+
+// AXPY4 computes y += a0*x0, then y += a1*x1, a2*x2 and a3*x3, in place,
+// in one pass over y. Each element takes the four updates in that order,
+// so the result equals four successive AXPY calls bit for bit.
+func AXPY4(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32) {
+	n := len(y)
+	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
+		panic(fmt.Sprintf("tensor: axpy4 length mismatch %d vs %d/%d/%d/%d", n, len(x0), len(x1), len(x2), len(x3)))
+	}
+	for i, v := range y {
+		v += a0 * x0[i]
+		v += a1 * x1[i]
+		v += a2 * x2[i]
+		v += a3 * x3[i]
+		y[i] = v
 	}
 }
 
